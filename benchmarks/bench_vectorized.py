@@ -10,9 +10,10 @@ Reported series:
 
 * **Q1 end-to-end** — wall-clock per mode for scalar vs. vectorized
   execution at ``workers=1`` (no parallelism hiding the kernel cost);
-* **micro-kernels** — ``GroupedSummation.add_pairs`` (scattered
-  ``ufunc.at`` quanta) vs. ``add_sorted_runs`` (segment ``reduceat``)
-  on the paper's standard workload.
+* **micro-kernels** — ``GroupedSummation.add_pairs`` (ids in any
+  order) vs. ``add_sorted_runs`` (sorted runs: the same ladder update,
+  with a ladder raise's per-group maxima taken from the runs) on the
+  paper's standard workload.
 
 Everything lands in ``BENCH_pr.json`` (ns/element per kernel plus the
 speedup ratios) for the CI bench-regression gate.
@@ -91,7 +92,7 @@ def test_vectorized_vs_scalar_report():
         )
         record_speedup(f"q1_{mode}_vectorized", q1[mode]["speedup"])
 
-    # Micro-kernel: scattered vs. segmented reproducible accumulation.
+    # Micro-kernel: the ladder update on unsorted vs. sorted input.
     n, ngroups = 1 << 18, 64
     gids, values = standard_pairs(n, ngroups)
     order = np.argsort(gids, kind="stable")

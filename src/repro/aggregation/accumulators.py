@@ -31,7 +31,7 @@ from ..core.params import RsumParams
 from ..core.repro_type import ReproFloat, repro_spec_name
 from ..core.rsum import params_from_spec
 from ..fp.decimal_fixed import DecimalType
-from .grouped import GroupedSummation, add_sorted_runs_multi
+from .grouped import GroupedSummation
 
 __all__ = [
     "AggregatorSpec",
@@ -178,21 +178,9 @@ class ReproSpec(AggregatorSpec):
         return GroupedSummation(self.params, ngroups)
 
     def accumulate(self, table, group_ids, values):
-        gids = np.asarray(group_ids, dtype=np.int64)
-        if gids.size > 1 and bool((gids[1:] >= gids[:-1]).all()):
-            # Sorted runs (sort/partition-based GROUP BY feeds these):
-            # the segmented kernel is faster and — the repro states
-            # being exact under any ordering — bit-identical.
-            table.add_sorted_runs(gids, values)
-        else:
-            table.add_pairs(group_ids, values)
-
-    def accumulate_multi(self, tables, group_ids, values):
-        """Feed several same-parameter tables one sorted morsel at once
-        (``values`` is ``(len(tables), n)``) — the fused engine kernels'
-        batched ladder walk, bit-identical to per-table
-        :meth:`accumulate` over sorted runs."""
-        add_sorted_runs_multi(tables, group_ids, values)
+        # The ladder update takes ids in any order; sorted runs from
+        # sort/partition-based GROUP BY need no separate path.
+        table.add_pairs(group_ids, values)
 
     def accumulate_elementwise(self, table, group_ids, values):
         # One ReproFloat += per pair, exactly like the unmodified

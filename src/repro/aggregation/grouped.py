@@ -5,19 +5,37 @@ assumes *one* long vector, while a GROUP BY juggles many interleaved
 sums.  The buffered operators solve this at the algorithm level; this
 module solves it at the kernel level: :class:`GroupedSummation` runs the
 anchor-extraction of :mod:`repro.core.state` for *all* groups at once
-using NumPy element-wise arithmetic, with per-element anchors selected
-by group id.
+using NumPy element-wise arithmetic.
+
+Every update goes through one sort-free kernel
+(:func:`add_pairs_multi`) that accepts group ids in any order.  Per
+table and batch it
+
+1. counts NaN / ±inf per group and drops them;
+2. raises group ladders to the per-group max |value| — skipped when the
+   whole table already sits on one ladder high enough for the batch's
+   global |max| (the steady state);
+3. extracts each value's per-level quanta against its group's anchor,
+   with scalar anchors when the touched groups share one ladder whose
+   levels are all normal;
+4. scatter-sums the quanta with ``np.bincount`` in blocks of at most
+   ``2**(54-w)`` rows and lifts each block's sums to int64 quanta;
+5. propagates carries.
 
 The final per-group states are bit-identical to feeding each group's
 values through its own :class:`~repro.core.state.SummationState` — the
 test suite asserts this — because:
 
 * the ladder of a group depends only on the group's max |value| (fixed
-  extractor grid), so it can be computed up-front in one segmented max;
-* contributions ``q`` are a pure element-wise function of (value,
-  level anchor), so NumPy lanes and a scalar loop round identically;
-* contributions are accumulated as exact int64 quanta (bounds checked:
-  ``|k| <= 2**(W-1)`` and chunks are capped so sums stay below 2**62).
+  extractor grid), so it can be computed up-front per batch;
+* quanta ``q`` are a pure element-wise function of (value, level
+  anchor), so NumPy lanes and a scalar loop round identically;
+* every quantum is ``k * 2**(e_l - m)`` with ``|k| <= 2**(w-1)``, so a
+  block's float64 bin sums are integer multiples of the level grid with
+  integer part at most ``2**(54-w) * 2**(w-1) = 2**53``: exact in any
+  addition order.  Exact accumulation in bounded blocks is the
+  bounded-superaccumulator idea of Goodrich & Eldawy; it makes the
+  order of additions irrelevant, so no caller needs a sort.
 
 This kernel is what makes the Python reproduction usable at millions of
 rows; the paper's C++ reaches the same place with AVX + summation
@@ -27,7 +45,6 @@ buffers, which we model in :mod:`repro.simulator`.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -38,10 +55,6 @@ __all__ = ["GroupedSummation", "add_pairs_multi", "add_sorted_runs_multi"]
 
 #: Ladder sentinel for "group has no finite non-zero value yet".
 _EMPTY_E0 = -(2**40)
-
-#: Chunk cap keeping int64 contribution sums exact:
-#: chunk * 2**(W-1) <= 2**22 * 2**39 = 2**61 < 2**63 (binary64, W=40).
-_CHUNK = 1 << 22
 
 
 class GroupedSummation:
@@ -84,47 +97,20 @@ class GroupedSummation:
         return grouped
 
     def add_pairs(self, group_ids: np.ndarray, values: np.ndarray) -> None:
-        """Add a batch of pairs (chunked to keep int64 sums exact)."""
-        gids = np.asarray(group_ids, dtype=np.int64)
-        vals = np.asarray(values, dtype=self._dtype)
-        if gids.shape != vals.shape or gids.ndim != 1:
-            raise ValueError("group_ids and values must be equal-length 1-D")
-        if gids.size and (gids.min() < 0 or gids.max() >= self.ngroups):
-            raise IndexError("group id out of range")
-        for start in range(0, gids.size, _CHUNK):
-            self._add_chunk(gids[start : start + _CHUNK], vals[start : start + _CHUNK])
+        """Add a batch of ``(group_id, value)`` pairs in any order."""
+        add_pairs_multi([self], group_ids, [values])
 
     def add_sorted_runs(self, group_ids: np.ndarray, values: np.ndarray,
                         starts: np.ndarray | None = None) -> None:
-        """Segmented fast path: add pairs whose ``group_ids`` are
-        **non-decreasing** (each group's values form one contiguous run).
+        """Add pairs whose ``group_ids`` are **non-decreasing**.
 
-        This is the kernel behind the engine's vectorized aggregation
-        layer (:mod:`repro.engine.vectorized`): per-group maxima and
-        int64 quantum sums become ``ufunc.reduceat`` segment reductions
-        instead of scattered ``ufunc.at`` updates, and when every group
-        in the batch sits on the same extractor ladder the per-level
-        anchors collapse to scalars.  Because quantum accumulation is
-        exact int64 arithmetic and the ladder logic is replicated from
-        :meth:`_add_chunk`, the resulting state is **bit-identical** to
-        :meth:`add_pairs` over any permutation of the same pairs — the
-        exactness that lets the engine vectorize without changing result
-        bits (asserted by the test suite).
+        The same kernel as :meth:`add_pairs`; the runs only replace the
+        scattered per-group max of a ladder raise with one
+        ``np.maximum.reduceat``.  ``starts`` are the run start offsets
+        (computed when omitted).
         """
-        gids = np.asarray(group_ids, dtype=np.int64)
-        vals = np.asarray(values, dtype=self._dtype)
-        if gids.shape != vals.shape or gids.ndim != 1:
-            raise ValueError("group_ids and values must be equal-length 1-D")
-        if gids.size == 0:
-            return
-        if gids[0] < 0 or gids[-1] >= self.ngroups:
-            raise IndexError("group id out of range")
-        if gids.size > _CHUNK:
-            # Rare huge batch: the generic chunked path keeps int64
-            # quantum sums exact; the result bits are the same.
-            self.add_pairs(gids, vals)
-            return
-        self._add_sorted_chunk(gids, vals, starts)
+        add_sorted_runs_multi([self], group_ids, np.asarray(values)[None],
+                              starts)
 
     @staticmethod
     def _run_starts(gids: np.ndarray) -> np.ndarray:
@@ -132,130 +118,105 @@ class GroupedSummation:
             np.concatenate(([True], gids[1:] != gids[:-1]))
         )
 
-    def _add_sorted_chunk(self, gids: np.ndarray, vals: np.ndarray,
-                          starts: np.ndarray | None = None) -> None:
-        finite = np.isfinite(vals)
-        if not finite.all():
-            nan_mask = np.isnan(vals)
-            np.add.at(self.nan_cnt, gids[nan_mask], 1)
-            np.add.at(self.pos_cnt, gids[vals == np.inf], 1)
-            np.add.at(self.neg_cnt, gids[vals == -np.inf], 1)
-            gids = gids[finite]
-            vals = vals[finite]
-            starts = None
-        nonzero = vals != 0
-        if not nonzero.all():
-            gids = gids[nonzero]
-            vals = vals[nonzero]
-            starts = None
-        if gids.size == 0:
-            return
-        if starts is None:
-            starts = self._run_starts(gids)
-        seg_gids = gids[starts]
-
-        # Ladder update: per-run max |value| via one segment reduction.
-        seg_max = np.maximum.reduceat(np.abs(vals), starts)
-        _, exps = np.frexp(seg_max)
-        eb = exps.astype(np.int64) - 1
-        raw = eb + self._m - self._w + 2
+    def _ladder_tops(self, absmax: np.ndarray) -> np.ndarray:
+        """Lowest grid top exponent whose level 0 covers each
+        ``absmax``; raises when one is beyond the ladder's range."""
+        _, exps = np.frexp(absmax)
+        raw = np.asarray(exps, dtype=np.int64) - 1 + self._m - self._w + 2
         needed = -((-raw) // self._w) * self._w
         if np.any(needed > self._emax_grid):
             raise LadderOverflowError(
                 "input magnitude exceeds the extractor ladder range"
             )
-        np.maximum(needed, self._emin_grid, out=needed)
-        target = self.e0.copy()
-        target[seg_gids] = np.maximum(target[seg_gids], needed)
-        self._demote_to(target)
+        return np.maximum(needed, self._emin_grid)
 
-        e0_seg = self.e0[seg_gids]
-        uniform = bool((e0_seg == e0_seg[0]).all())
-        if uniform and int(e0_seg[0]) - (self._L - 1) * self._w >= self._emin:
-            # All groups share one ladder and every level is normal:
-            # scalar anchors, no per-element masking.
-            e0 = int(e0_seg[0])
-            r = vals
-            for level in range(self._L):
-                e_l = e0 - level * self._w
-                anchor = np.ldexp(self._dtype.type(1.5), e_l)
-                q = (r + anchor) - anchor
-                r = r - q
-                k = np.ldexp(q, self._m - e_l).astype(np.int64)
-                self.s[level][seg_gids] += np.add.reduceat(k, starts)
-        else:
-            self._sweep_segments_elementwise(gids, vals, starts, seg_gids)
-        self._propagate()
+    def _add_chunk(self, gids: np.ndarray, vals: np.ndarray,
+                   starts: np.ndarray | None) -> None:
+        """The ladder update (see the module docstring).  ``starts``,
+        when given, are the run starts of non-decreasing ``gids``."""
+        m, w, levels = self._m, self._w, self._L
+        # 1. NaN / ±inf are set aside (counted after the ladder check)
+        #    and never summed.  max/min propagate NaN and catch ±inf
+        #    without a full isfinite pass.
+        hi = max(float(vals.max()), -float(vals.min()))
+        bad = None
+        if not math.isfinite(hi):
+            finite = np.isfinite(vals)
+            bad = (gids[~finite], vals[~finite])
+            gids, vals, starts = gids[finite], vals[finite], None
+            hi = max(float(vals.max()), -float(vals.min())) if vals.size else 0.0
 
-    def _sweep_segments_elementwise(self, gids: np.ndarray, vals: np.ndarray,
-                                    starts: np.ndarray,
-                                    seg_gids: np.ndarray) -> None:
-        """Per-element-anchor sweep of one sorted run batch (groups on
-        mixed ladders, or levels below the normal range).  Caller owns
-        the ladder demotion beforehand and :meth:`_propagate` after."""
-        e0_elem = self.e0[gids]
-        r = vals
-        for level in range(self._L):
-            e_l = e0_elem - level * self._w
-            active = e_l >= self._emin
-            anchor_exp = np.where(active, e_l, 0).astype(np.int32)
-            anchor = np.ldexp(self._dtype.type(1.5), anchor_exp)
-            q = (r + anchor) - anchor
-            q = np.where(active, q, self._dtype.type(0))
-            r = r - q
-            shift = np.where(active, self._m - e_l, 0).astype(np.int32)
-            k = np.ldexp(q, shift).astype(np.int64)
-            self.s[level][seg_gids] += np.add.reduceat(k, starts)
+        # 2. Ladders.  A table on one ladder whose level 0 covers
+        #    |values| < 2**(e0 - m + w - 1) needs no per-group max.
+        #    Zeros never raise a ladder: a group holding only zeros
+        #    keeps its own, exactly as the scalar state would.
+        e0 = int(self.e0.min())
+        if hi > 0 and (e0 != int(self.e0.max())
+                       or not hi < math.ldexp(1.0, e0 - m + w - 1)):
+            absvals = np.abs(vals)
+            if starts is not None:
+                group_max = np.maximum.reduceat(absvals, starts)
+                nonzero = group_max > 0
+                touched, group_max = gids[starts][nonzero], group_max[nonzero]
+            else:
+                group_max = np.zeros(self.ngroups, dtype=self._dtype)
+                np.maximum.at(group_max, gids, absvals)
+                touched = np.flatnonzero(group_max)
+                group_max = group_max[touched]
+            target = self.e0.copy()
+            # Raises LadderOverflowError before anything is mutated.
+            target[touched] = np.maximum(target[touched],
+                                         self._ladder_tops(group_max))
+            self._demote_to(target)
+            tops = self.e0[touched]
+            e0 = int(tops[0]) if bool((tops == tops[0]).all()) else None
+        if bad is not None:
+            bad_gids, bad_vals = bad
+            np.add.at(self.nan_cnt, bad_gids[np.isnan(bad_vals)], 1)
+            np.add.at(self.pos_cnt, bad_gids[bad_vals == np.inf], 1)
+            np.add.at(self.neg_cnt, bad_gids[bad_vals == -np.inf], 1)
+        if hi == 0:
+            return  # only zeros left: each extracts a zero quantum
+        if e0 is not None and e0 - (levels - 1) * w < self._emin:
+            e0 = None  # a level below the normal range
 
-    def _add_chunk(self, gids: np.ndarray, vals: np.ndarray) -> None:
-        finite = np.isfinite(vals)
-        if not finite.all():
-            nan_mask = np.isnan(vals)
-            np.add.at(self.nan_cnt, gids[nan_mask], 1)
-            np.add.at(self.pos_cnt, gids[vals == np.inf], 1)
-            np.add.at(self.neg_cnt, gids[vals == -np.inf], 1)
-            gids = gids[finite]
-            vals = vals[finite]
-        nonzero = vals != 0
-        if not nonzero.all():
-            gids = gids[nonzero]
-            vals = vals[nonzero]
-        if gids.size == 0:
-            return
-
-        # Ladder update: per-group max |value| decides the top exponent.
-        absvals = np.abs(vals)
-        groupmax = np.zeros(self.ngroups, dtype=self._dtype)
-        np.maximum.at(groupmax, gids, absvals)
-        touched = groupmax > 0
-        _, exps = np.frexp(groupmax[touched])
-        eb = exps.astype(np.int64) - 1
-        raw = eb + self._m - self._w + 2
-        needed = -((-raw) // self._w) * self._w
-        if np.any(needed > self._emax_grid):
-            raise LadderOverflowError(
-                "input magnitude exceeds the extractor ladder range"
-            )
-        np.maximum(needed, self._emin_grid, out=needed)
-        target = self.e0.copy()
-        tv = target[touched]
-        target[touched] = np.maximum(tv, needed)
-        self._demote_to(target)
-
-        # Anchor extraction, level by level, for all elements at once.
-        e0_elem = self.e0[gids]
-        r = vals
-        for level in range(self._L):
-            e_l = e0_elem - level * self._w
-            active = e_l >= self._emin
-            anchor_exp = np.where(active, e_l, 0).astype(np.int32)
-            anchor = np.ldexp(self._dtype.type(1.5), anchor_exp)
-            q = (r + anchor) - anchor
-            q = np.where(active, q, self._dtype.type(0))
-            r = r - q
-            shift = np.where(active, self._m - e_l, 0).astype(np.int32)
-            k = np.ldexp(q, shift).astype(np.int64)
-            np.add.at(self.s[level], gids, k)
+        # 3. + 4. Quanta, level by level: scalar anchors on a shared
+        #    ladder (a zero extracts zero against any anchor), else
+        #    per-element anchors from each value's group ladder.
+        dt = self._dtype.type
+        block = 1 << (54 - w)
+        if e0 is None:
+            elem_e0 = self.e0[gids]
+        q = np.empty_like(vals)
+        src = vals
+        for level in range(levels):
+            if e0 is not None:
+                e_l = e0 - level * w
+                anchor = np.ldexp(dt(1.5), e_l)
+                shift = m - e_l
+            else:
+                e_l = elem_e0 - level * w
+                active = e_l >= self._emin
+                anchor = np.ldexp(dt(1.5),
+                                  np.where(active, e_l, 0).astype(np.int32))
+                group_e = self.e0 - level * w
+                shift = np.where(group_e >= self._emin, m - group_e,
+                                 0).astype(np.int32)
+            np.add(src, anchor, out=q)
+            np.subtract(q, anchor, out=q)
+            if e0 is None:
+                q[~active] = 0
+            if level + 1 < levels:
+                src = np.subtract(src, q, out=None if src is vals else src)
+            for lo in range(0, q.size, block):
+                sums = np.bincount(gids[lo:lo + block],
+                                   weights=q[lo:lo + block],
+                                   minlength=self.ngroups)
+                # Bin sums are exact multiples of the level grid; ldexp
+                # lifts them to whole quanta exactly (the shift can
+                # leave the power-of-two-float range near ``emin``).
+                self.s[level] += np.ldexp(sums, shift).astype(np.int64)
+        # 5. Carries.
         self._propagate()
 
     # ------------------------------------------------------------------
@@ -431,59 +392,27 @@ class GroupedSummation:
         )
 
 
-#: Largest element count the batched walk keeps persistent scratch for
-#: (beyond it, buffers are allocated per call rather than pinned).
-_WALK_SCRATCH_CAP = 1 << 18
-
-_WALK_SCRATCH = threading.local()
-
-
-def _walk_buffers(count: int, dtype) -> tuple:
-    """Thread-local ``(float, float, int64)`` scratch for the batched walk.
-
-    The walk's temporaries are as large as the morsel block itself, so
-    freshly allocating them every call means every pass streams through
-    cold pages.  Reusing one buffer set per thread keeps those pages
-    warm in cache from morsel to morsel; per-worker tables make the
-    walk thread-confined, so ``threading.local`` is the whole story.
-    Oversized requests fall back to plain allocation to keep the pinned
-    footprint bounded.
-    """
-    if count > _WALK_SCRATCH_CAP:
-        return (np.empty(count, dtype=dtype), np.empty(count, dtype=dtype),
-                np.empty(count, dtype=np.int64))
-    bufs = getattr(_WALK_SCRATCH, "bufs", None)
-    if bufs is None:
-        bufs = _WALK_SCRATCH.bufs = {}
-    entry = bufs.get(dtype)
-    if entry is None or entry[0].size < count:
-        cap = min(max(count, 1 << 14), _WALK_SCRATCH_CAP)
-        entry = (np.empty(cap, dtype=dtype), np.empty(cap, dtype=dtype),
-                 np.empty(cap, dtype=np.int64))
-        bufs[dtype] = entry
-    return entry
-
-
 def add_pairs_multi(tables: list, group_ids: np.ndarray,
-                    values_rows: list, checked: bool = True) -> bool:
-    """Scatter fast path for the steady state: feed unsorted pairs to
-    several ladder tables with **no sort, no gather, no run starts**.
+                    values_rows: list, checked: bool = True,
+                    starts: np.ndarray | None = None) -> bool:
+    """The ladder update: feed ``values_rows[i]`` into ``tables[i]``,
+    with one shared ``group_ids`` array in any order.
 
-    Applies only when, for every table, the whole ladder already sits
-    on one uniform top exponent high enough for this batch (checked
-    against each column's global |max|), every value is finite, and
-    ``n * 2**(w-1) <= 2**53`` so that float64 partial sums of the
-    integral-valued quanta are exact in any accumulation order — then
-    ``np.bincount`` scatter-sums replace the segment machinery
-    entirely.  Returns ``False`` (with nothing mutated) when any
-    precondition fails; the caller then takes the sorted path.
+    All tables must share identical :class:`RsumParams`.  Tables are
+    updated in turn; a :class:`LadderOverflowError` leaves the raising
+    table untouched and earlier tables fully applied.  ``checked=False``
+    skips the group-id range scan for callers that construct the ids
+    themselves (the fused kernels); out-of-range ids are then undefined
+    behavior exactly like any unchecked kernel.  ``starts`` are the run
+    starts of non-decreasing ids (see :func:`add_sorted_runs_multi`).
+    Always returns ``True``.
 
-    The exactness window ``n <= 2**(54-w)`` holds for binary32 ladders
-    with the *same* bound as binary64, because neither side of the
-    argument depends on the value format's significand width:
+    The bincount block bound ``n <= 2**(54-w)`` holds for binary32
+    ladders with the *same* bound as binary64, because neither side of
+    the argument depends on the value format's significand width:
 
-    * the quantum bound is format-independent — the no-demote
-      precondition gives ``eb + m - w + 2 <= e0`` per column, so every
+    * the quantum bound is format-independent — after the ladder raise
+      every group has ``eb + m - w + 2 <= e0`` for its values, so every
       level quantum ``q = k * 2**(e_l - m)`` has
       ``|k| <= 2**(eb + 1 - e0 + m) <= 2**(w-1)`` whether ``m`` is 52
       or 23;
@@ -491,32 +420,17 @@ def add_pairs_multi(tables: list, group_ids: np.ndarray,
       its weights to float64 before summing, and every binary32
       quantum converts exactly (float32 ⊂ float64), so each partial
       sum is an exact integer multiple of ``2**(e_l - m)`` with
-      integer part at most ``n * 2**(w-1) <= 2**53``, representable
-      and closed under addition in float64 in any order (the scale
-      ``2**(e_l - m)`` stays at or above ``2**(emin - m)``, far inside
-      float64's range for both formats).
+      integer part at most ``2**(54-w) * 2**(w-1) = 2**53``,
+      representable and closed under addition in float64 in any order
+      (the scale ``2**(e_l - m)`` stays at or above ``2**(emin - m)``,
+      inside float64's range for both formats).
 
     The per-element arithmetic stays in the table dtype either way:
-    the anchors ``ldexp(dt(1.5), e_l)`` are exact in binary32 for
-    every in-range ``e_l >= emin`` (one significand bit), and the
-    quantum extraction writes through same-dtype scratch — so each
-    float32 quantum is bit-identical to the reference walk's, and
-    ``np.ldexp(sums, m - e_l)`` lifts the exact float64 bin sums to
-    whole int64 quanta exactly.
-
-    ``checked=False`` skips the group-id range scan for callers that
-    construct the ids themselves (the fused kernels); out-of-range ids
-    are then undefined behavior exactly like any unchecked kernel.
-
-    Bit-identity with the per-table reference walk: no table demotes
-    (``needed <= e0`` for every group by the global-max check), the
-    anchor extraction is element-wise so each value's quantum is the
-    value the reference computes, quanta are exact integers whose
-    float64 partial sums stay below 2**53 (every partial representable
-    — order cannot change the total), and zeros extract a zero quantum
-    at every level, making them exact no-ops just as in the
-    zero-filtering reference (including the group-absent case:
-    ``s += 0`` on a canonical state, then an idempotent propagate).
+    the anchors ``ldexp(dt(1.5), e_l)`` are exact in binary32 for every
+    in-range ``e_l >= emin`` (one significand bit), so each float32
+    quantum is bit-identical to the scalar state's.  Block sums lift to
+    at most ``2**53`` quanta each, and carries propagate every
+    ``2**(62-w)`` rows, so the int64 level sums never overflow.
     """
     tables = list(tables)
     if not tables:
@@ -525,270 +439,41 @@ def add_pairs_multi(tables: list, group_ids: np.ndarray,
     for table in tables[1:]:
         if table.params != first.params:
             raise ValueError("add_pairs_multi requires identical parameters")
-    gids = np.asarray(group_ids, dtype=np.int64)
-    n = gids.size
     if len(values_rows) != len(tables):
         raise ValueError("one values row per table required")
-    if n == 0:
+    gids = np.asarray(group_ids, dtype=np.int64)
+    rows = [np.asarray(row, dtype=first._dtype) for row in values_rows]
+    if gids.ndim != 1 or any(row.shape != gids.shape for row in rows):
+        raise ValueError("group_ids and values must be equal-length 1-D")
+    if gids.size == 0:
         return True
-    m, w, levels = first._m, first._w, first._L
-    # binary64 and binary32 ladders share the n <= 2**(54-w) window:
-    # the quantum bound |k| <= 2**(w-1) and the float64 bincount
-    # accumulator are both independent of the value format (see the
-    # docstring); any other dtype declines to the reference walk.
-    if first._dtype.itemsize not in (4, 8) or w > 53 or n > 1 << (54 - w):
-        return False
-    emin_floor = first._emin + (levels - 1) * w
-    e0s = []
-    for table in tables:
-        lo = int(table.e0.min())
-        if lo < emin_floor or lo != int(table.e0.max()):
-            return False
-        e0s.append(lo)
-    if checked and (int(gids.min()) < 0
-                    or int(gids.max()) >= min(t.ngroups for t in tables)):
-        return False  # let the sorted path raise the reference error
-    rows = [np.asarray(r, dtype=first._dtype) for r in values_rows]
-    his = []
-    for vals, e0 in zip(rows, e0s):
-        # max/min propagate NaN and catch ±inf without a full |.| pass
-        hi = max(float(vals.max()), -float(vals.min()))
-        if not hi <= first.params.fmt.max_value:  # NaN or +inf
-            return False
-        if hi > 0:
-            eb = math.frexp(hi)[1] - 1
-            if -(-(eb + m - w + 2) // w) * w > e0:
-                return False  # a demote would be needed somewhere
-        his.append(hi)
-
-    dt = first._dtype.type
-    qbuf, rbuf, _ = _walk_buffers(n, first._dtype)
-    q = qbuf[:n]
-    r = rbuf[:n]
-    for vals, table, e0, hi in zip(rows, tables, e0s, his):
-        if hi == 0:
-            continue  # all-zero column: exact no-op, as in the reference
-        src = vals
-        for level in range(levels):
-            e_l = e0 - level * w
-            anchor = np.ldexp(dt(1.5), e_l)
-            np.add(src, anchor, out=q)
-            np.subtract(q, anchor, out=q)
-            if level + 1 < levels:
-                np.subtract(src, q, out=r)
-                src = r
-            sums = np.bincount(gids, weights=q, minlength=table.ngroups)
-            # Sums are exact multiples of the level grid; ldexp lifts
-            # them to whole quanta exactly (the shift can exceed the
-            # power-of-two-float range near ``emin``, so no ``2.0**p``).
-            table.s[level] += np.ldexp(sums, m - e_l).astype(np.int64)
-        table._propagate()
+    if checked:
+        lo, hi = ((gids[0], gids[-1]) if starts is not None
+                  else (gids.min(), gids.max()))
+        if lo < 0 or hi >= min(table.ngroups for table in tables):
+            raise IndexError("group id out of range")
+    chunk = 1 << (62 - first._w)
+    if gids.size > chunk:
+        starts = None
+    for table, vals in zip(tables, rows):
+        for lo in range(0, gids.size, chunk):
+            table._add_chunk(gids[lo:lo + chunk], vals[lo:lo + chunk], starts)
     return True
 
 
 def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
                           values: np.ndarray,
                           starts: np.ndarray | None = None) -> None:
-    """Feed one sorted morsel into several ladder tables in one sweep.
+    """:func:`add_pairs_multi` for **non-decreasing** ``group_ids``.
 
     ``values`` has shape ``(len(tables), n)``; row ``i`` is consumed by
-    ``tables[i]``.  All tables must share identical :class:`RsumParams`.
-    The states produced are bit-identical to calling
-    ``tables[i].add_sorted_runs(group_ids, values[i], starts)`` for each
-    table in turn: quantum accumulation is exact int64 arithmetic and the
-    anchor extraction is element-wise, so batching the per-level sweeps
-    across a 2-D array (one ``reduceat`` over ``axis=1`` instead of N
-    ladder walks) cannot change any bits.  This is the engine's
-    multi-aggregate amortization: TPC-H Q1's five repro sums share one
-    sorted morsel, one segment-max, and one anchor sweep per level.
-
-    Zeros do not break the batch even though the single-table path
-    filters them out before computing run starts: a zero extracts a
-    zero quantum at every level and cannot change a segment's absolute
-    maximum, so the accumulated state matches the zero-filtering
-    reference bit for bit — *unless* filtering would leave a segment
-    empty (the reference then never touches that group's ladder), in
-    which case the column takes the reference path.  Columns with
-    non-finite values always fall back to their own
-    ``add_sorted_runs`` call (the counts and the filtered run
-    structure are not batchable), as does the whole batch when any
-    ladder would overflow (so the exception surfaces from the
-    reference path with nothing mutated); a column whose ladders end
-    up non-uniform or subnormal drops to the element-wise sweep.
+    ``tables[i]``.  The runs (``starts``, computed when omitted) give
+    each ladder raise its per-group maxima by one ``reduceat``.
     """
-    tables = list(tables)
-    if not tables:
-        return
-    first = tables[0]
-    for table in tables[1:]:
-        if table.params != first.params:
-            raise ValueError(
-                "add_sorted_runs_multi requires identical parameters"
-            )
     gids = np.asarray(group_ids, dtype=np.int64)
-    vals = np.asarray(values, dtype=first._dtype)
+    vals = np.asarray(values)
     if vals.shape != (len(tables), gids.size) or gids.ndim != 1:
         raise ValueError("values must have shape (len(tables), len(group_ids))")
-    if gids.size == 0:
-        return
-    if gids[0] < 0 or gids[-1] >= min(t.ngroups for t in tables):
-        raise IndexError("group id out of range")
-    if gids.size > _CHUNK:
-        for table, row in zip(tables, vals):
-            table.add_sorted_runs(gids, row, starts)
-        return
-    if starts is None:
+    if starts is None and gids.size:
         starts = GroupedSummation._run_starts(gids)
-    seg_gids = gids[starts]
-
-    m, w, levels = first._m, first._w, first._L
-    n = gids.size
-    nseg = len(starts)
-    qbuf, rbuf, kbuf = _walk_buffers(len(tables) * n, first._dtype)
-    absvals = np.abs(vals, out=qbuf[:len(tables) * n].reshape(vals.shape))
-    # Run starts replicated at row offsets turn every 2-D segment
-    # reduction into one flat ``reduceat``: rows are contiguous, and a
-    # row's trailing segment stops at the next row's offset.  The
-    # first ``kb`` rows' offsets are a prefix, so the walk below can
-    # reuse slices of this array for any leading block width.
-    fstarts_all = (starts + (np.arange(len(tables)) * n)[:, None]).ravel()
-    seg_max_all = np.maximum.reduceat(
-        absvals.reshape(-1), fstarts_all
-    ).reshape(len(tables), nseg)
-    # One look at the segment maxima replaces full-width scans:
-    # ``np.maximum`` propagates NaN and |±inf| stays inf, so a
-    # non-finite maximum flags a non-finite column, and a zero maximum
-    # flags a segment the zero-filtering reference path would never
-    # touch (see docstring) — both take the reference path.
-    ok = (np.isfinite(seg_max_all) & (seg_max_all > 0)).all(axis=1)
-    batch = np.flatnonzero(ok)
-    for i in np.flatnonzero(~ok):
-        tables[int(i)].add_sorted_runs(gids, vals[i], starts)
-    if batch.size == 0:
-        return
-
-    if batch.size == len(tables):
-        sub = vals
-        seg_max = seg_max_all
-    else:
-        sub = vals[batch]
-        seg_max = seg_max_all[batch]
-    _, exps = np.frexp(seg_max)
-    eb = exps.astype(np.int64) - 1
-    raw = eb + m - w + 2
-    needed = -((-raw) // w) * w
-    if np.any(needed > first._emax_grid):
-        # Let the reference path raise LadderOverflowError for the
-        # offending table, with earlier tables fully applied — exactly
-        # the sequential per-table semantics.
-        for i in batch:
-            tables[int(i)].add_sorted_runs(gids, vals[i], starts)
-        return
-    np.maximum(needed, first._emin_grid, out=needed)
-
-    plans: dict = {}  # uniform top exponent -> [(row in ``sub``, table)]
-    emin_floor = first._emin + (levels - 1) * w
-    needed_hi = needed.max(axis=1)
-    for j, i in enumerate(batch):
-        table = tables[int(i)]
-        # Steady state: the whole table already sits on one ladder
-        # high enough for this morsel.  Two scalar reductions over the
-        # (tiny) e0 array decide that without touching ``seg_gids``.
-        lo = int(table.e0.min())
-        if needed_hi[j] <= lo and lo == int(table.e0.max()):
-            if lo >= emin_floor:
-                plans.setdefault(lo, []).append((j, table))
-                continue
-        e0_seg = table.e0[seg_gids]
-        if not bool((needed[j] <= e0_seg).all()):
-            target = table.e0.copy()
-            target[seg_gids] = np.maximum(e0_seg, needed[j])
-            table._demote_to(target)
-            e0_seg = table.e0[seg_gids]
-        e0 = int(e0_seg[0])
-        if (bool((e0_seg == e0).all())
-                and e0 - (levels - 1) * w >= table._emin):
-            plans.setdefault(e0, []).append((j, table))
-        elif bool((sub[j] == 0).any()):
-            # The element-wise sweep is not audited for embedded
-            # zeros; the reference path is (it filters them), and the
-            # demotion above is idempotent under it.
-            table.add_sorted_runs(gids, vals[i], starts)
-        else:
-            table._sweep_segments_elementwise(gids, sub[j], starts, seg_gids)
-            table._propagate()
-    if not plans:
-        return
-
-    # The batched walk proper.  The run structure, segment maxima, and
-    # demotion targets above were computed once for all columns;
-    # columns that landed on the *same* top exponent (the common case
-    # — think TPC-H Q1's five price-of-ordinary-magnitude sums) then
-    # share one scalar anchor per level, extracting the whole block's
-    # quanta in one scalar-broadcast pass per level instead of one per
-    # column.  The block is walked as a single flat vector — rows are
-    # contiguous, so run starts replicated at row offsets give one
-    # ``reduceat`` over every column at once (each row's trailing
-    # segment stops at the next row boundary) — and every temporary
-    # lands in the thread-local scratch, keeping those pages warm in
-    # cache from morsel to morsel.  Scalar anchors and ``out=`` keep
-    # the arithmetic the single-table fast path's verbatim, so
-    # bit-identity is by construction; the remainder is dead after the
-    # last level and is not materialized.
-    dt = first._dtype.type
-    p_lo, p_hi = (-126, 127) if first._dtype.itemsize == 4 else (-1022, 1023)
-    # The ladder invariant bounds every quantum by ``|k| <= 2**(w-1)``
-    # (that is what makes int64 accumulation exact under _CHUNK), so
-    # when ``n * 2**(w-1) <= 2**53`` every *partial* segment sum of
-    # the integral-valued ``q`` is exactly representable in binary64 —
-    # the float ``reduceat`` is then exact and the whole float→int64
-    # conversion pass can collapse to casting one tiny sum per
-    # segment.
-    float_sums = (first._dtype.itemsize == 8 and w <= 53
-                  and n <= 1 << (54 - w))
-    for e0, members in plans.items():
-        kb = len(members)
-        if kb == len(sub):
-            block = sub
-        elif kb == 1:
-            block = sub[members[0][0]][None, :]
-        else:
-            block = sub[[row for row, _ in members]]
-        flat = block.reshape(kb * n)
-        fstarts = starts if kb == 1 else fstarts_all[:kb * nseg]
-        q = qbuf[:flat.size]
-        r = rbuf[:flat.size]
-        kq = kbuf[:flat.size]
-        src = flat
-        for level in range(levels):
-            e_l = e0 - level * w
-            anchor = np.ldexp(dt(1.5), e_l)
-            np.add(src, anchor, out=q)
-            np.subtract(q, anchor, out=q)
-            if level + 1 < levels:
-                np.subtract(src, q, out=r)
-                src = r
-            p = m - e_l
-            if p_lo <= p <= p_hi:
-                # An exact power-of-two factor shifts the exponent just
-                # like ``ldexp`` (bitwise, including overflow to inf)
-                # and NumPy's multiply loop is ~2x faster than its
-                # scalbn loop; out-of-range shifts keep ``ldexp``.
-                np.multiply(q, dt(2.0) ** p, out=q)
-            else:
-                np.ldexp(q, p, out=q)
-            if float_sums:
-                seg_sums = np.add.reduceat(q, fstarts).astype(np.int64)
-            else:
-                np.copyto(kq, q, casting="unsafe")
-                seg_sums = np.add.reduceat(kq, fstarts)
-            for idx, (row, table) in enumerate(members):
-                chunk = seg_sums[idx * nseg:(idx + 1) * nseg]
-                if nseg == table.ngroups:
-                    # Sorted in-range gids covering every group means
-                    # ``seg_gids`` is exactly ``arange(ngroups)``.
-                    table.s[level] += chunk
-                else:
-                    table.s[level][seg_gids] += chunk
-        for row, table in members:
-            table._propagate()
+    add_pairs_multi(tables, gids, list(vals), starts=starts)

@@ -59,7 +59,8 @@ from .grouped import GroupedSummation, _EMPTY_E0
 __all__ = ["RetractableGroupedSummation"]
 
 #: Chunk cap keeping int64 quantum sums exact between canonicalisation
-#: sweeps (same bound as :data:`repro.aggregation.grouped._CHUNK`).
+#: sweeps: chunk * 2**(W-1) <= 2**22 * 2**39 = 2**61 < 2**63 (binary64,
+#: W=40; the ladder update's ``2**(62-w)`` rows per carry propagation).
 _CHUNK = 1 << 22
 
 

@@ -4,7 +4,7 @@ The vectorized path (:mod:`repro.engine.vectorized`) already batches
 the arithmetic, but it still pays interpreter tax per morsel: one
 Python dispatch per physical state, one :class:`~repro.engine.expr.
 ExprCache` dictionary probe per sub-expression, and one independent
-rsum ladder walk per reproducible aggregate.  This module removes that
+rsum ladder update per reproducible aggregate.  This module removes that
 tax for *qualifying* plans by compiling scan -> filter -> project ->
 aggregate into a single generated per-morsel function:
 
@@ -21,29 +21,27 @@ aggregate into a single generated per-morsel function:
 3. **Kernel cache.**  Kernels are cached on the execution context
    keyed by a plan signature; the context counts hits and misses and
    invalidates the cache when knobs that shape execution change.
-4. **Batched ladder walk.**  All reproducible SUM/AVG/VAR states of
-   equal :class:`~repro.core.params.RsumParams` feed one
-   :func:`~repro.aggregation.grouped.add_sorted_runs_multi` sweep over
-   the shared sorted morsel, instead of N independent ladder walks.
+4. **One ladder update per morsel.**  All reproducible SUM/AVG/VAR
+   states of equal :class:`~repro.core.params.RsumParams` feed one
+   :func:`~repro.aggregation.grouped.add_pairs_multi` call on the raw
+   value rows: the sort-free ladder update scatter-sums exact quanta
+   in any row order, so these states never sort or gather the morsel.
 
 Reproducibility is preserved by construction: the kernels reuse the
-exact state objects and update arithmetic of the vectorized path
-(:func:`_update_float_sum`, ``ufunc.reduceat`` extremes, int64
-segmented sums that are associative, and the multi-column ladder sweep
-that is proven bit-identical to the per-table walk), so fused results
-are byte-identical to both the vectorized and the scalar paths in
-every sum mode.  Plans the generator cannot express fall back to the
-interpreted engines automatically — fusion is an optimization, never a
-feature gate.
+exact state objects and update arithmetic of the vectorized path (the
+same ladder kernel, ``ufunc.reduceat`` extremes, int64 segmented sums
+that are associative), so fused results are byte-identical to both the
+vectorized and the scalar paths in every sum mode.  Plans the generator
+cannot express fall back to the interpreted engines automatically —
+fusion is an optimization, never a feature gate.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from ..aggregation.grouped import add_pairs_multi, add_sorted_runs_multi
+# perfbench/spans.py wraps both ladder entry points by their name here.
+from ..aggregation.grouped import add_pairs_multi, add_sorted_runs_multi  # noqa: F401
 from .expr import SCALAR_FUNCTIONS, evaluate, expression_columns
 from .operators import (
     Batch,
@@ -55,10 +53,8 @@ from .operators import (
 from .sql import ast
 from .types import DecimalSqlType
 from .vectorized import (
-    ClusteredMorsel,
     SortedMorsel,
     VectorizedGroupTable,
-    _update_float_sum,
     _VecCountState,
     _VecMinMaxState,
     _VecSecondMomentState,
@@ -162,70 +158,18 @@ def _minmax_update(state, values, gids, morsel, ngroups: int) -> None:
     )
 
 
-_SCRATCH = threading.local()
-
-#: Largest element count kept as persistent per-thread scratch.
-_STACK_SCRATCH_CAP = 1 << 18
-
-
-def _stack_buffer(slot: str, k: int, n: int, dtype) -> np.ndarray:
-    """Thread-local ``(k, n)`` scratch for ladder stacks and gathers.
-
-    A fresh 2-D array per morsel means every kernel invocation streams
-    through cold pages; one reused buffer per thread keeps them warm
-    in cache across morsels.  Two slots suffice: the assembled value
-    stack is dead the moment its sort-order gather completes, and the
-    gathered copy is dead when the ladder sweep returns.  Oversized
-    requests fall back to plain allocation.
-    """
-    count = k * n
-    if count > _STACK_SCRATCH_CAP:
-        return np.empty((k, n), dtype=dtype)
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None:
-        bufs = _SCRATCH.bufs = {}
-    key = (slot, np.dtype(dtype))
-    buf = bufs.get(key)
-    if buf is None or buf.size < count:
-        buf = bufs[key] = np.empty(
-            min(max(count, 1 << 14), _STACK_SCRATCH_CAP), dtype=dtype
-        )
-    return buf[:count].reshape(k, n)
-
-
-def _ladder_multi(impls, rows, gids, morsel, ngroups: int) -> None:
-    """Feed ``k`` same-parameter repro sum impls one sorted morsel in a
-    single multi-column ladder sweep.  ``rows`` is a list of ``k``
-    per-impl value arrays; each is gathered into sort order directly
-    inside one thread-local ``(k, n)`` block (no intermediate unsorted
-    stack), which :func:`add_sorted_runs_multi` then walks.
-    Bit-identical to ``k`` independent :func:`_update_float_sum` calls
-    because that walk is bit-identical to the per-table
-    ``add_sorted_runs``."""
+def _ladder_multi(impls, rows, gids, ngroups: int) -> None:
+    """Feed ``k`` same-parameter repro sum impls one morsel through one
+    :func:`add_pairs_multi` call on the raw value rows: no sort, no
+    gather.  Bit-identical to ``k`` independent ``impl.update`` calls,
+    which run the same kernel."""
     groupeds = []
     for impl in impls:
         grouped = impl.grouped
         if grouped.ngroups < ngroups:
             grouped.resize(ngroups)
         groupeds.append(grouped)
-    if gids.size == 0:
-        return
-    if add_pairs_multi(groupeds, gids, rows, checked=False):
-        # Steady-state scatter path: no sort, no gather, no starts.
-        return
-    morsel._ensure()
-    dtype = groupeds[0]._dtype
-    block = _stack_buffer("gather", len(rows), gids.size, dtype)
-    if morsel._identity:
-        for i, vals in enumerate(rows):
-            block[i] = vals
-    else:
-        order = morsel._order
-        for i, vals in enumerate(rows):
-            if vals.dtype != dtype:
-                vals = vals.astype(dtype)
-            np.take(vals, order, out=block[i])
-    add_sorted_runs_multi(groupeds, morsel.sorted_gids, block, morsel.starts)
+    add_pairs_multi(groupeds, gids, rows, checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +626,8 @@ def _emit_group_ids_joined(em: _Emitter, aggregate, stage2_columns) -> None:
     )
 
 
-def _emit_states(em: _Emitter, aggregate) -> bool:
-    """Emit the per-state update lines; returns whether any state's
-    bits depend on intra-group morsel order (which forces the stable
-    :class:`SortedMorsel` over the cheaper counting permutation)."""
-    order_sensitive = False
+def _emit_states(em: _Emitter, aggregate) -> None:
+    """Emit the per-state update lines."""
     # The deterministic shared-state layout, recomputed at compile time
     # (the method reads nothing from self, see vectorized._build_plan).
     probe_states, _ = VectorizedGroupTable._build_plan(None, aggregate.specs)
@@ -708,29 +649,18 @@ def _emit_states(em: _Emitter, aggregate) -> bool:
             _emit_sum_state(em, state, svar, ladder)
         elif isinstance(state, _VecMinMaxState):
             values = em.values_tok(state.arg)
-            if np.asarray(em.probe(state.arg)).dtype.kind == "f":
-                # Float MIN/MAX can return either zero of a ±0.0 tie
-                # depending on encounter order within the segment.
-                order_sensitive = True
             em.emit(f"_MM({svar}, {values}, _gids, _morsel, _ngroups)")
         elif isinstance(state, _VecSecondMomentState):
             _emit_moment_state(em, state, svar, i, ladder)
         else:  # pragma: no cover - new state types fall back
             raise _NoFuse(f"state {type(state).__name__}")
 
-    # Batched ladder walks last: reordering whole-state updates is
+    # Batched ladder updates last: reordering whole-state updates is
     # bit-safe (each state object consumes exactly its own sequence).
     for _key, slots in ladder_slots.items():
-        if len(slots) == 1:
-            impl_token, values_token = slots[0]
-            em.emit(
-                f"_UF({impl_token}, {values_token}, _gids, _morsel, _ngroups)"
-            )
-            continue
         impls = ", ".join(impl_token for impl_token, _ in slots)
         values = ", ".join(values_token for _, values_token in slots)
-        em.emit(f"_LM([{impls}], [{values}], _gids, _morsel, _ngroups)")
-    return order_sensitive
+        em.emit(f"_LM([{impls}], [{values}], _gids, _ngroups)")
 
 
 def _emit_sum_state(em: _Emitter, state, svar: str, ladder) -> None:
@@ -751,7 +681,7 @@ def _emit_sum_state(em: _Emitter, state, svar: str, ladder) -> None:
         ladder(f"{svar}.impl", values_token, dtype == np.dtype(np.float32),
                state.levels)
     else:
-        em.emit(f"_UF({svar}.impl, {values_token}, _gids, _morsel, _ngroups)")
+        em.emit(f"{svar}.impl.update({values_token}, _gids, _ngroups)")
 
 
 def _emit_moment_state(em: _Emitter, state, svar: str, i: int,
@@ -764,8 +694,8 @@ def _emit_moment_state(em: _Emitter, state, svar: str, i: int,
         ladder(f"{svar}.sum_x", f"_vf{i}", False, levels)
         ladder(f"{svar}.sum_xx", f"_vsq{i}", False, levels)
     else:
-        em.emit(f"_UF({svar}.sum_x, _vf{i}, _gids, _morsel, _ngroups)")
-        em.emit(f"_UF({svar}.sum_xx, _vsq{i}, _gids, _morsel, _ngroups)")
+        em.emit(f"{svar}.sum_x.update(_vf{i}, _gids, _ngroups)")
+        em.emit(f"{svar}.sum_xx.update(_vsq{i}, _gids, _ngroups)")
 
 
 def _sum_kind(em: _Emitter, arg: ast.Expr):
@@ -810,15 +740,11 @@ def _stage2_columns(aggregate) -> set:
 
 def _finish_kernel(em: _Emitter, aggregate, signature, nfilters: int,
                    njoins: int, extra_namespace=None) -> FusedKernel:
-    """Shared tail of both generators: aggregate-state emission, the
-    morsel splice, and source assembly/compilation."""
+    """Shared tail of both generators: the morsel, aggregate-state
+    emission, and source assembly/compilation."""
     em.emit("_ngroups = table.ngroups")
-    # The morsel flavor depends on what the states consume, so emit
-    # them first and splice the morsel construction in above them.
-    morsel_at = len(em.lines)
-    order_sensitive = _emit_states(em, aggregate)
-    morsel_ctor = "_SM(_gids)" if order_sensitive else "_CM(_gids, _ngroups)"
-    em.lines.insert(morsel_at, f"_morsel = {morsel_ctor}")
+    em.emit("_morsel = _SM(_gids)")
+    _emit_states(em, aggregate)
 
     body = "\n".join("    " + line for line in em.lines)
     source = f"def _fused_kernel(batch, table):\n{body}\n"
@@ -828,8 +754,6 @@ def _finish_kernel(em: _Emitter, aggregate, signature, nfilters: int,
         "_FB": _scalar_fallback,
         "_FBJ": _joined_fallback,
         "_SM": SortedMorsel,
-        "_CM": ClusteredMorsel,
-        "_UF": _update_float_sum,
         "_MM": _minmax_update,
         "_LM": _ladder_multi,
     }

@@ -267,7 +267,9 @@ class _ReproSumImpl:
         if self.grouped.ngroups < ngroups:
             self.grouped.resize(ngroups)
         if gids.size:
-            self.grouped.add_pairs(gids, values.astype(self._fmt_dtype))
+            self.grouped.add_pairs(
+                gids, values.astype(self._fmt_dtype, copy=False)
+            )
 
     def merge(self, other, mapping, ngroups):
         if self.grouped.ngroups < ngroups:

@@ -53,8 +53,12 @@ __all__ = [
 ]
 
 #: Default morsel size: big enough to amortise NumPy dispatch, small
-#: enough that a few morsels exist at TPC-H bench scales.
-DEFAULT_MORSEL_SIZE = 1 << 16
+#: enough that a few morsels exist at TPC-H bench scales.  At 16384
+#: rows every per-morsel float64 temporary is 128 KiB or less, so it
+#: stays in reused heap pages (below glibc's mmap threshold) and no
+#: statement page-faults; the bincount blocks of the ladder update
+#: (2**(54-w) rows, 16384 for binary64) also cover a whole morsel.
+DEFAULT_MORSEL_SIZE = 1 << 14
 
 
 class ExecutionContext:

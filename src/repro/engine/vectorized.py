@@ -4,9 +4,8 @@ The scalar pipeline (:class:`~repro.engine.operators.PartialGroupTable`)
 is correct for any expression the engine can type, but it leaves speed
 on the table: every morsel re-factorizes its key columns with
 ``np.unique`` over object arrays (an O(n log n) sort with Python-level
-comparisons), every aggregate re-evaluates its argument expression, and
-the reproducible summation scatters quanta with unbuffered ``ufunc.at``
-updates.
+comparisons), and every aggregate re-evaluates its argument
+expression.
 
 This module is the batched alternative.  Per morsel it:
 
@@ -17,11 +16,11 @@ This module is the batched alternative.  Per morsel it:
    with pure integer radix arithmetic, numeric keys go through
    ``np.unique`` with the same canonical NaN / ``-0.0`` handling as the
    scalar key table;
-3. sorts the morsel by group id **once** (a cheap int64 argsort shared
-   by every aggregate) and updates per-group partial states with
-   segment kernels — ``ufunc.reduceat`` reductions for MIN/MAX and the
-   RSUM quantum sums (:meth:`~repro.aggregation.grouped.
-   GroupedSummation.add_sorted_runs`);
+3. updates per-group partial states with batch kernels — one lazy
+   stable sort by group id serves the ``ufunc.reduceat`` segment
+   reductions of MIN/MAX, while the RSUM states take the sort-free
+   ladder update (:meth:`~repro.aggregation.grouped.GroupedSummation.
+   add_pairs`) on the rows as they arrive;
 4. shares physical states between aggregates: ``AVG(x)`` reuses the
    ``SUM(x)`` state and one common ``COUNT`` state, the six
    VARIANCE/STDDEV spellings share one second-moment state.
@@ -30,7 +29,7 @@ Reproducibility is preserved *by construction*: the repro-mode partial
 states are exact under any permutation and chunking of their input (the
 paper's Algorithm 3 horizontal-merge property, which
 :class:`~repro.core.rsum_simd.SimdRsum` demonstrates lane-wise), so
-re-ordering a morsel by group id cannot change the final bits.  IEEE
+neither row order nor morsel boundaries can change the final bits.  IEEE
 sums keep the scalar path's unbuffered ``np.add.at`` accumulation in
 physical row order, so even the *non*-reproducible mode returns the
 same bits as the scalar path.  The equivalence suite asserts both.
@@ -54,7 +53,6 @@ from .operators import (
     _VAR_NAMES,
     _CountState,
     _MinMaxState,
-    _ReproSumImpl,
     _SumState,
     _make_float_sum_impl,
     factorize_object,
@@ -144,7 +142,9 @@ def plan_supports_vectorized(group_exprs, aggregates,
 # ---------------------------------------------------------------------------
 
 class SortedMorsel:
-    """One stable sort of a morsel's group ids, shared by every state.
+    """One lazy stable sort of a morsel's group ids, shared by the
+    states that reduce segments (MIN/MAX, and the fused kernels'
+    int/DECIMAL sums); the RSUM ladders never need it.
 
     Lazily computes the permutation putting rows in group-id order, the
     segment starts, and the per-segment gids.  When the ids are already
@@ -207,55 +207,6 @@ class SortedMorsel:
         return values[self._order]
 
 
-class ClusteredMorsel(SortedMorsel):
-    """Group-clustering permutation without intra-group stability.
-
-    Consumers whose per-segment reduction is bit-independent of the
-    order *within* a group — exact int64 quantum sums (repro ladders),
-    int/decimal sums, counts — pay for the stable argsort of
-    :class:`SortedMorsel` without needing it.  When few distinct
-    groups are present, one counting pass per group builds a grouping
-    permutation in ``O(n * distinct)`` sequential scans (each far
-    cheaper than a sort's data-dependent movement) and the run starts
-    fall out of the group counts for free.  Kernels containing an
-    order-sensitive state must keep the stable morsel: float MIN/MAX
-    can return either zero of a ``±0.0`` tie depending on encounter
-    order, and IEEE-mode float sums depend on it outright.
-    """
-
-    #: Beyond this many distinct groups the per-group counting passes
-    #: lose to one radix argsort; fall back to the stable morsel.
-    _MAX_COUNTING_GROUPS = 32
-
-    def __init__(self, gids: np.ndarray, ngroups: int):
-        super().__init__(gids)
-        self._ngroups = ngroups
-
-    def _ensure(self) -> None:
-        if self._ready:
-            return
-        gids = self.gids
-        if gids.size == 0 or bool((gids[1:] >= gids[:-1]).all()):
-            super()._ensure()
-            return
-        counts = np.bincount(gids, minlength=self._ngroups)
-        present = np.flatnonzero(counts)
-        if present.size > self._MAX_COUNTING_GROUPS:
-            super()._ensure()
-            return
-        kcounts = counts[present]
-        self._order = np.concatenate(
-            [np.flatnonzero(gids == g) for g in present]
-        )
-        self._sorted_gids = np.repeat(present, kcounts)
-        starts = np.empty(present.size, dtype=np.int64)
-        starts[0] = 0
-        np.cumsum(kcounts[:-1], out=starts[1:])
-        self._starts = starts
-        self._seg_gids = present
-        self._ready = True
-
-
 # ---------------------------------------------------------------------------
 # Vectorized partial states (merge/finalize inherited => exact parity)
 # ---------------------------------------------------------------------------
@@ -264,28 +215,6 @@ class _VecCountState(_CountState):
     def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
                    ngroups: int) -> None:
         _CountState.update(self, batch, gids, ngroups)
-
-
-def _update_float_sum(impl, values: np.ndarray, gids: np.ndarray,
-                      morsel: SortedMorsel, ngroups: int) -> None:
-    """Feed one morsel into a float-sum impl.
-
-    Repro impls take the segmented fast path (exact, so sorting cannot
-    change the bits); IEEE and sorted-mode impls keep their scalar-path
-    update — ``np.add.at`` in physical row order — so even the
-    order-*sensitive* mode returns bits identical to the scalar path.
-    """
-    if isinstance(impl, _ReproSumImpl):
-        if impl.grouped.ngroups < ngroups:
-            impl.grouped.resize(ngroups)
-        if gids.size:
-            fmt = impl._fmt_dtype
-            vals = values if values.dtype == fmt else values.astype(fmt)
-            impl.grouped.add_sorted_runs(
-                morsel.sorted_gids, morsel.take(vals), morsel.starts
-            )
-    else:
-        impl.update(values, gids, ngroups)
 
 
 class _VecSumState(_SumState):
@@ -309,7 +238,7 @@ class _VecSumState(_SumState):
         values, kind, scale = self._values_cached(batch, cache)
         if self.impl is None:
             self.impl = self._make_impl(kind, scale, values.dtype)
-        _update_float_sum(self.impl, values, gids, morsel, ngroups)
+        self.impl.update(values, gids, ngroups)
 
 
 class _VecMinMaxState(_MinMaxState):
@@ -338,8 +267,8 @@ class _VecSecondMomentState:
                    ngroups: int) -> None:
         values = np.asarray(cache.values(self.arg, batch.nrows),
                             dtype=np.float64)
-        _update_float_sum(self.sum_x, values, gids, morsel, ngroups)
-        _update_float_sum(self.sum_xx, values * values, gids, morsel, ngroups)
+        self.sum_x.update(values, gids, ngroups)
+        self.sum_xx.update(values * values, gids, ngroups)
 
     def merge(self, other: "_VecSecondMomentState", mapping,
               ngroups: int) -> None:

@@ -10,10 +10,10 @@ both the interpreted vectorized path and the scalar path — in every
 sum mode, for every ``(workers, morsel_size)`` split, and across the
 IEEE special values (NaN / ±inf / -0.0) in keys and arguments.
 
-The second half unit-tests the batched ladder entry points the kernels
-call — :func:`add_sorted_runs_multi` (one shared sort, all aggregates)
-and :func:`add_pairs_multi` (the steady-state scatter that skips the
-sort entirely) — against the per-table reference kernels.
+The second half unit-tests the multi-table spellings of the ladder
+update the kernels call — :func:`add_pairs_multi` (ids in any order)
+and :func:`add_sorted_runs_multi` (sorted runs) — against per-group
+scalar :class:`~repro.core.state.SummationState` oracles.
 """
 
 import numpy as np
@@ -25,8 +25,9 @@ from repro.aggregation.grouped import (
     add_sorted_runs_multi,
 )
 from repro.core.params import RsumParams
+from repro.core.state import SummationState
 from repro.engine import Database
-from repro.engine.vectorized import ClusteredMorsel, SortedMorsel
+from repro.engine.vectorized import SortedMorsel
 from repro.fp.formats import BINARY32, BINARY64
 
 MODES = ("repro", "repro_buffered", "sorted", "ieee")
@@ -36,8 +37,7 @@ QUERY = (
     "COUNT(*) AS c, MIN(v) AS lo, MAX(v) AS hi, STDDEV(v) AS sd "
     "FROM t GROUP BY k, s ORDER BY k, s"
 )
-#: No float MIN/MAX: the only order-sensitive state is absent, so the
-#: generated kernel may use the cheaper clustering permutation.
+#: No MIN/MAX: no state of the generated kernel sorts the morsel.
 SUMS_QUERY = (
     "SELECT k, SUM(v) AS sv, RSUM(v, 3) AS rv, COUNT(*) AS c "
     "FROM t GROUP BY k ORDER BY k"
@@ -220,23 +220,24 @@ class TestQualification:
         assert "FusedPipeline" not in plan
         assert ", fused" not in plan
 
-    def test_morsel_flavor_tracks_order_sensitivity(self, dataset):
-        # Float MIN/MAX is the one order-sensitive state (-0.0/0.0
-        # ties resolve to the first operand seen), so those kernels
-        # must keep the stable sort; pure-sum kernels may cluster.
+    def test_only_min_max_sort_the_morsel(self, dataset, monkeypatch):
+        # The ladder update takes rows in any order; only the reduceat
+        # extremes of MIN/MAX need the morsel sorted by group id.
+        sorts = []
+        ensure = SortedMorsel._ensure
+
+        def counting_ensure(morsel):
+            sorts.append(morsel)
+            ensure(morsel)
+
+        monkeypatch.setattr(SortedMorsel, "_ensure", counting_ensure)
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
         db.execute(SUMS_QUERY)
+        assert db.last_pipeline_stats.fused is True
+        assert not sorts
         db.execute(QUERY)
-        sources = [
-            kernel.source
-            for kernel, _reason in db.execution_context._kernel_cache.values()
-            if kernel is not None
-        ]
-        assert len(sources) == 2
-        clustered = [s for s in sources if "_CM(" in s]
-        stable = [s for s in sources if "_SM(" in s]
-        assert len(clustered) == 1 and "MIN" not in clustered[0]
-        assert len(stable) == 1
+        assert db.last_pipeline_stats.fused is True
+        assert sorts
 
 
 class TestKernelCache:
@@ -291,33 +292,8 @@ class TestKernelCache:
             db.execute("SET fused = 'banana'")
 
 
-class TestClusteredMorsel:
-    def test_same_segments_as_stable_sort(self):
-        rng = np.random.default_rng(5)
-        gids = rng.integers(0, 7, size=200).astype(np.int64)
-        clustered = ClusteredMorsel(gids, 7)
-        stable = SortedMorsel(gids)
-        assert clustered.sorted_gids.tolist() == stable.sorted_gids.tolist()
-        assert clustered.starts.tolist() == stable.starts.tolist()
-        assert clustered.seg_gids.tolist() == stable.seg_gids.tolist()
-        # The permutation is a bijection that realizes the clustering.
-        order = np.sort(clustered._order)
-        assert order.tolist() == list(range(gids.size))
-        assert gids[clustered._order].tolist() == stable.sorted_gids.tolist()
-
-    def test_high_cardinality_falls_back_to_stable(self):
-        rng = np.random.default_rng(6)
-        ngroups = ClusteredMorsel._MAX_COUNTING_GROUPS * 4
-        gids = rng.permutation(ngroups).astype(np.int64)
-        clustered = ClusteredMorsel(gids, ngroups)
-        stable = SortedMorsel(gids)
-        assert clustered.sorted_gids.tolist() == stable.sorted_gids.tolist()
-        assert (np.asarray(clustered._order) == np.asarray(stable._order)
-                ).all()
-
-
 # ---------------------------------------------------------------------------
-# Batched ladder kernels vs. the per-table reference
+# Multi-table ladder updates vs. per-group scalar oracles
 # ---------------------------------------------------------------------------
 
 P64 = RsumParams(BINARY64)
@@ -327,69 +303,74 @@ P32 = RsumParams(BINARY32)
 N, G = 1024, 4
 
 
-def _check_pair(params, ngroups, gids, cols, reps=2, premut=None):
-    """``add_sorted_runs_multi`` vs looped ``add_sorted_runs``."""
+class _Oracle:
+    """One scalar :class:`SummationState` per (table, group)."""
+
+    def __init__(self, params, ngroups, ntables):
+        self.states = [[SummationState(params) for _ in range(ngroups)]
+                       for _ in range(ntables)]
+
+    def feed(self, table_no, gids, values):
+        for g, state in enumerate(self.states[table_no]):
+            state.add_array(values[gids == g])
+
+    def check(self, tables):
+        for table, states in zip(tables, self.states):
+            got = table.finalize()
+            for g, state in enumerate(states):
+                assert table.to_state(g).state_tuple() == state.state_tuple()
+                assert got[g:g + 1].tobytes() == np.asarray(
+                    [state.finalize()], dtype=got.dtype).tobytes()
+
+
+def _start(params, ngroups, cols, seed):
+    """Fresh tables and their oracle, both fed the ``seed`` batches."""
+    tables = [GroupedSummation(params, ngroups) for _ in cols]
+    oracle = _Oracle(params, ngroups, len(cols))
+    for seed_gids, seed_vals in seed:
+        seed_gids = np.asarray(seed_gids, dtype=np.int64)
+        seed_vals = np.asarray(seed_vals, dtype=params.fmt.dtype)
+        for i, table in enumerate(tables):
+            table.add_pairs(seed_gids, seed_vals)
+            oracle.feed(i, seed_gids, seed_vals)
+    return tables, oracle
+
+
+def _check_pair(params, ngroups, gids, cols, reps=2, seed=()):
+    """``add_sorted_runs_multi`` over sorted runs vs. the oracle."""
     gids = np.asarray(gids, dtype=np.int64)
     order = np.argsort(gids, kind="stable")
     gids = gids[order]
     cols = [np.asarray(c, dtype=params.fmt.dtype)[order] for c in cols]
     starts = np.flatnonzero(np.r_[True, gids[1:] != gids[:-1]])
-    reference = [GroupedSummation(params, ngroups) for _ in cols]
-    batched = [GroupedSummation(params, ngroups) for _ in cols]
-    if premut:
-        premut(reference)
-        premut(batched)
+    tables, oracle = _start(params, ngroups, cols, seed)
     for _ in range(reps):
-        for grouped, col in zip(reference, cols):
-            grouped.add_sorted_runs(gids, col, starts)
-        add_sorted_runs_multi(batched, gids, np.stack(cols), starts)
-    for ref, got in zip(reference, batched):
-        assert ref.state_tuples() == got.state_tuples()
-        assert ref.finalize().tobytes() == got.finalize().tobytes()
+        add_sorted_runs_multi(tables, gids, np.stack(cols), starts)
+        for i, col in enumerate(cols):
+            oracle.feed(i, gids, col)
+    oracle.check(tables)
 
 
-def _check_scatter(params, ngroups, gids, cols, premut=None, reps=2,
-                   expect_applied=True, checked=True):
-    """``add_pairs_multi`` vs looped ``add_pairs``; asserts whether the
-    scatter fast path engaged on the final rep and that bits agree
-    either way (declined reps replay through ``add_pairs``)."""
+def _check_scatter(params, ngroups, gids, cols, seed=(), reps=2,
+                   checked=True):
+    """``add_pairs_multi`` over ids in any order vs. the oracle."""
     gids = np.asarray(gids, dtype=np.int64)
     cols = [np.asarray(c, dtype=params.fmt.dtype) for c in cols]
-    reference = [GroupedSummation(params, ngroups) for _ in cols]
-    batched = [GroupedSummation(params, ngroups) for _ in cols]
-    if premut:
-        premut(reference)
-        premut(batched)
-    applied = None
+    tables, oracle = _start(params, ngroups, cols, seed)
     for _ in range(reps):
-        for grouped, col in zip(reference, cols):
-            grouped.add_pairs(gids, col)
-        applied = add_pairs_multi(batched, gids, cols, checked=checked)
-        if not applied:
-            for grouped, col in zip(batched, cols):
-                grouped.add_pairs(gids, col)
-    assert applied is expect_applied
-    for ref, got in zip(reference, batched):
-        assert ref.state_tuples() == got.state_tuples()
-        assert ref.finalize().tobytes() == got.finalize().tobytes()
+        assert add_pairs_multi(tables, gids, cols, checked=checked) is True
+        for i, col in enumerate(cols):
+            oracle.feed(i, gids, col)
+    oracle.check(tables)
 
 
 def _seed_uniform(magnitude, ngroups=G):
-    """Premutation: one value per group, so every table reaches the
-    uniform-e0 steady state the scatter path requires."""
-    def premut(tables):
-        gg = np.arange(ngroups, dtype=np.int64)
-        for table in tables:
-            table.add_pairs(gg, np.full(ngroups, magnitude))
-    return premut
+    """One value per group, so every table sits on one uniform ladder."""
+    return [(np.arange(ngroups), np.full(ngroups, magnitude))]
 
 
-def _seed_split(tables):
-    """Premutation: group 0 huge, group 1 tiny — mixed per-group e0."""
-    gg = np.array([0, 1], dtype=np.int64)
-    st = np.array([0, 1], dtype=np.int64)
-    for table in tables:
-        table.add_sorted_runs(gg, np.array([1e40, 1e-60]), st)
+#: Group 0 huge, group 1 tiny: mixed per-group ladders.
+_SEED_SPLIT = [([0, 1], [1e40, 1e-60])]
 
 
 class TestAddSortedRunsMulti:
@@ -456,7 +437,7 @@ class TestAddSortedRunsMulti:
         gids = rng.integers(0, G, N)
         _check_pair(P64, G, gids,
                     [rng.normal(size=N), rng.normal(size=N) * 1e-50],
-                    premut=_seed_split)
+                    seed=_SEED_SPLIT)
 
     def test_mixed_params_rejected(self):
         gids = np.array([0, 1], dtype=np.int64)
@@ -475,25 +456,26 @@ class TestAddPairsMulti:
     def test_steady_state_many_columns(self, rng):
         gids = rng.integers(0, G, N)
         cols = [rng.normal(size=N) * 100 for _ in range(5)]
-        _check_scatter(P64, G, gids, cols, premut=_seed_uniform(150.0))
+        _check_scatter(P64, G, gids, cols, seed=_seed_uniform(150.0))
 
     def test_steady_state_zeros(self, rng):
         gids = rng.integers(0, G, N)
         values = np.where(rng.random(N) < 0.4, -0.0, rng.normal(size=N))
-        _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0))
+        _check_scatter(P64, G, gids, [values], seed=_seed_uniform(150.0))
         _check_scatter(P64, G, gids, [np.zeros(N), rng.normal(size=N)],
-                       premut=_seed_uniform(150.0))
+                       seed=_seed_uniform(150.0))
 
     def test_fresh_tables_reach_steady_state(self, rng):
-        # Rep 1 declines (empty ladders) and replays via add_pairs,
-        # which seeds uniform e0; rep 2 takes the scatter path.
+        # Rep 1 starts from empty ladders and raises them per group;
+        # rep 2 finds one uniform ladder and skips the per-group max.
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N)])
 
     def test_demote_declines_then_applies(self, rng):
+        # A batch far above the seeded ladder raises it mid-stream.
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N) * 1e50],
-                       premut=_seed_uniform(1.0))
+                       seed=_seed_uniform(1.0))
 
     def test_three_levels(self, rng):
         gids = rng.integers(0, G, N)
@@ -503,43 +485,30 @@ class TestAddPairsMulti:
     def test_tiny_near_emin(self, rng):
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N) * 1e-300],
-                       premut=_seed_uniform(1e-299))
-
-    def test_nan_declines(self, rng):
-        gids = rng.integers(0, G, N)
-        values = np.where(rng.random(N) < 0.01, np.nan, rng.normal(size=N))
-        _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0),
-                       expect_applied=False)
-
-    def test_inf_declines(self, rng):
-        gids = rng.integers(0, G, N)
-        values = np.where(rng.random(N) < 0.01, -np.inf, rng.normal(size=N))
-        _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0),
-                       expect_applied=False)
+                       seed=_seed_uniform(1e-299))
 
     def test_binary32_applies(self, rng):
-        # PR 10: the scatter fast path runs binary32 ladders through
-        # the same float64 bucket trick — exact while n <= 2**(54-w).
+        # binary32 ladders share the float64 bincount accumulator and
+        # its 2**(54-w) block bound.
         gids = rng.integers(0, G, N)
         _check_scatter(P32, G, gids, [rng.normal(size=N).astype(np.float32)],
-                       premut=_seed_uniform(np.float32(150.0)))
+                       seed=_seed_uniform(np.float32(150.0)))
 
     def test_window_boundary_straddle(self, rng):
-        # The batch window n <= 2**(54-w) is format-independent (the
-        # float64 bincount accumulator bounds it, not the value dtype);
-        # the default widths put it out of reach (2**14 for binary64,
-        # 2**36 for binary32), so straddle it with a wide-w params:
-        # exactly-at-window applies, one addend past it declines.
+        # The bincount block bound 2**(54-w) is format-independent (the
+        # float64 accumulator bounds it, not the value dtype); the
+        # default widths put it at 2**14 rows for binary64 and 2**33
+        # for binary32, so straddle it with a wide-w params: exactly
+        # one block, and one addend into a second block.
         params = RsumParams(BINARY64, w=45)
         limit = 1 << (54 - 45)
         values = rng.uniform(50.0, 200.0, size=limit + 1)
         _check_scatter(params, 1, np.zeros(limit, dtype=np.int64),
                        [values[:limit]],
-                       premut=_seed_uniform(150.0, ngroups=1), reps=1)
+                       seed=_seed_uniform(150.0, ngroups=1), reps=1)
         _check_scatter(params, 1, np.zeros(limit + 1, dtype=np.int64),
-                       [values],
-                       premut=_seed_uniform(150.0, ngroups=1), reps=1,
-                       expect_applied=False)
+                       [values], seed=_seed_uniform(150.0, ngroups=1),
+                       reps=1)
 
     def test_binary32_subnormal_anchor(self, rng):
         # Anchors near emin = -126: slices live in the subnormal range
@@ -548,32 +517,17 @@ class TestAddPairsMulti:
         tiny = (rng.normal(size=N).astype(np.float32)
                 * np.float32(1e-38))
         _check_scatter(P32, G, gids, [tiny],
-                       premut=_seed_uniform(np.float32(1e-37)))
-
-    def test_binary32_nan_inf_decline(self, rng):
-        gids = rng.integers(0, G, N)
-        v_nan = rng.normal(size=N).astype(np.float32)
-        v_nan[13] = np.nan
-        _check_scatter(P32, G, gids, [v_nan],
-                       premut=_seed_uniform(np.float32(150.0)),
-                       expect_applied=False)
-        v_inf = rng.normal(size=N).astype(np.float32)
-        v_inf[7] = np.inf
-        _check_scatter(P32, G, gids, [v_inf],
-                       premut=_seed_uniform(np.float32(150.0)),
-                       expect_applied=False)
-
-    def test_mixed_per_group_e0_declines(self, rng):
-        gids = rng.integers(0, G, N)
-        _check_scatter(P64, G, gids, [rng.normal(size=N)],
-                       premut=_seed_split, expect_applied=False)
+                       seed=_seed_uniform(np.float32(1e-37)))
 
     def test_out_of_range_gids_decline_when_checked(self):
         tables = [GroupedSummation(P64, 2)]
         tables[0].add_pairs(np.array([0, 1], dtype=np.int64),
                             np.array([1.0, 1.0]))
+        before = tables[0].state_tuples()
         bad = np.array([0, 5], dtype=np.int64)
-        assert add_pairs_multi(tables, bad, [np.array([1.0, 2.0])]) is False
+        with pytest.raises(IndexError):
+            add_pairs_multi(tables, bad, [np.array([1.0, 2.0])])
+        assert tables[0].state_tuples() == before
 
     def test_mixed_params_rejected(self):
         tables = [GroupedSummation(P64, 2), GroupedSummation(P64L3, 2)]
