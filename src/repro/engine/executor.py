@@ -195,24 +195,29 @@ def _scan_morsels(scan: PhysScan, morsel_size: int,
     """Materialize one scan's morsel list (column views, renamed to the
     binder's resolved keys, with dictionary encodings riding along).
 
-    ``snapshot`` pins row visibility at that version watermark; the
-    table hands back consistent array copies, so the morsels stay
-    valid while concurrent writers mutate the table.
+    ``snapshot`` pins row visibility at that version watermark.
+    Visibility is decided once and shared by the key encodings and the
+    column scan, so both cover the same rows.  The table hands back
+    read-only views when every row is visible and masked copies
+    otherwise; either way the morsels stay valid and unchanged while
+    concurrent writers mutate the table.
     """
     if scan.table is None:
         batch = Batch({}, {})
         batch.nrows = 1  # SELECT 1 + 1
         return [batch]
     source_columns = list(scan.column_map.values())
+    visibility = scan.table.visibility(snapshot)
     encodings = scan.table.key_encodings(
         [scan.column_map[key] for key in scan.encode_keys],
-        snapshot=snapshot,
+        snapshot=snapshot, visibility=visibility,
     )
     reverse = {source: key for key, source in scan.column_map.items()}
     morsels = []
     offset = 0
     for chunk in scan.table.morsels(morsel_size, source_columns,
-                                    snapshot=snapshot):
+                                    snapshot=snapshot,
+                                    visibility=visibility):
         nrows = len(next(iter(chunk.values()))) if chunk else 0
         renamed = {
             reverse.get(name, name): arr for name, arr in chunk.items()

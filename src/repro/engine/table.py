@@ -30,6 +30,15 @@ still in flight at admission) are invisible, bit for bit, no matter
 how long the scan takes.  Writers serialize per table through
 :attr:`Table.lock`; readers only take it briefly to materialize column
 arrays, never for the duration of a query.
+
+What a scan hands back depends on visibility.  When every physical row
+is visible to the reader — the common case of a table with no deletes
+and no rows newer than the snapshot, decided in O(1) from the table's
+highest insert version and lowest delete version — scans return
+read-only prefix *views* of the column buffers and build no mask.
+Otherwise they return masked copies.  Both are stable under concurrent
+writers: column buffers are append-only and :meth:`Column.array`
+keeps every handed-out view valid across appends and growth.
 """
 
 from __future__ import annotations
@@ -41,6 +50,12 @@ import numpy as np
 from .types import SqlType
 
 __all__ = ["Column", "Table", "Schema", "VersionClock"]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a view of a column buffer read-only and return it."""
+    arr.flags.writeable = False
+    return arr
 
 
 class VersionClock:
@@ -246,6 +261,14 @@ class Table:
         self._inserted: list[int] = []
         #: monotone DML watermark (bumped once per mutating statement)
         self._version = 0
+        # O(1) visibility facts, kept current by every path that
+        # appends, masks or restores rows (see :meth:`visibility`):
+        #: highest insert version of any physical row (0 = none)
+        self._max_inserted = 0
+        #: lowest non-zero delete version (0 = nothing masked)
+        self._min_deleted = 0
+        #: number of masked physical rows
+        self._ndeleted = 0
         #: version source — private until a catalog attaches its own
         self._clock = clock if clock is not None else VersionClock()
         #: statement/materialization lock (see class docstring)
@@ -282,7 +305,7 @@ class Table:
     def __len__(self) -> int:
         """Number of *visible* rows."""
         with self.lock:
-            return int(np.count_nonzero(self.valid_mask()))
+            return len(self._deleted) - self._ndeleted
 
     @property
     def physical_rows(self) -> int:
@@ -334,6 +357,46 @@ class Table:
             ins, del_ = self._version_arrays()
             ins, del_ = ins[:n], del_[:n]
             return (ins <= snapshot) & ((del_ == 0) | (del_ > snapshot))
+
+    def visibility(self, snapshot: int | None = None) -> tuple:
+        """``(n, mask)``: the physical row count and the visibility mask
+        over rows ``[:n]`` at ``snapshot`` (``None``: the live state),
+        or ``mask=None`` when every one of those rows is visible.
+
+        The all-visible test is O(1): no row was inserted after the
+        snapshot and none was deleted at or before it.  Compute it once
+        per scan and pass it to :meth:`scan`, :meth:`morsels` and
+        :meth:`key_encodings` so they read the same rows.
+        """
+        with self.lock:
+            n = len(self._deleted)
+            if snapshot is None:
+                if not self._min_deleted:
+                    return n, None
+                return n, self.valid_mask()
+            if self._max_inserted <= snapshot and (
+                not self._min_deleted or self._min_deleted > snapshot
+            ):
+                return n, None
+            return n, self.snapshot_mask(snapshot)
+
+    def _note_inserted(self, version: int) -> None:
+        if version > self._max_inserted:
+            self._max_inserted = version
+
+    def _note_deleted(self, indices, version: int) -> int:
+        """Mask the live rows among ``indices`` at ``version``; returns
+        how many it masked."""
+        masked = 0
+        for idx in indices:
+            if self._deleted[idx] == 0:
+                self._deleted[idx] = version
+                masked += 1
+        if masked:
+            self._ndeleted += masked
+            if not self._min_deleted or version < self._min_deleted:
+                self._min_deleted = version
+        return masked
 
     def delta_masks(self, since: int,
                     upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -387,6 +450,7 @@ class Table:
             self._columns[col_name].append(lowered[col_name])
         self._deleted.append(0)
         self._inserted.append(version)
+        self._note_inserted(version)
 
     def insert_row(self, values: dict) -> None:
         self.insert_rows([values])
@@ -432,6 +496,7 @@ class Table:
                     self._columns[col_name].extend_raw(list(lowered[col_name]))
                 self._deleted.extend([0] * nrows)
                 self._inserted.extend([version] * nrows)
+                self._note_inserted(version)
                 self._version = version
                 if self._storage is not None:
                     self._storage.log_rows_appended(self, version, start)
@@ -453,8 +518,7 @@ class Table:
                 return 0
             version = self._clock.begin()
             try:
-                for idx in hits:
-                    self._deleted[idx] = version
+                self._note_deleted(hits, version)
                 self._version = version
                 if self._storage is not None:
                     self._storage.log_rows_masked(self, version, hits)
@@ -482,8 +546,7 @@ class Table:
             start = len(self._deleted)
             version = self._clock.begin()
             try:
-                for idx in hits:
-                    self._deleted[idx] = version
+                self._note_deleted(hits, version)
                 for row in rows:
                     self._append_row(row, version)
                 self._version = version
@@ -530,6 +593,8 @@ class Table:
             self._columns[name].extend_raw(values)
         self._deleted.extend([0] * nrows)
         self._inserted.extend(versions)
+        if nrows:
+            self._note_inserted(max(versions))
 
     def replay_append(self, version: int, columns: dict) -> None:
         """Re-apply one logged append (idempotent: versions the table
@@ -550,8 +615,9 @@ class Table:
             version = int(version)
             if version <= self._version:
                 return
-            for idx in np.asarray(indices, dtype=np.int64).tolist():
-                self._deleted[idx] = version
+            self._note_deleted(
+                np.asarray(indices, dtype=np.int64).tolist(), version
+            )
             self._version = version
             self._clock.advance_to(version)
             self._valid_arr = None
@@ -563,8 +629,9 @@ class Table:
             version = int(version)
             if version <= self._version:
                 return
-            for idx in np.asarray(indices, dtype=np.int64).tolist():
-                self._deleted[idx] = version
+            self._note_deleted(
+                np.asarray(indices, dtype=np.int64).tolist(), version
+            )
             names = self.schema.names()
             nrows = len(self._storage_values(columns[names[0]])) if names else 0
             self._extend_physical(columns, [version] * nrows)
@@ -594,6 +661,10 @@ class Table:
                 self._columns[name].extend_raw(values)
             self._inserted = inserted
             self._deleted = deleted
+            self._max_inserted = max(inserted, default=0)
+            masked = [v for v in deleted if v]
+            self._min_deleted = min(masked, default=0)
+            self._ndeleted = len(masked)
             self._version = int(version)
             self._clock.advance_to(self._version)
             self._valid_arr = None
@@ -601,45 +672,65 @@ class Table:
             self._del_arr = None
 
     # -- access --------------------------------------------------------------
+    def _names(self, columns: list[str] | None) -> list[str]:
+        if columns is None:
+            return self.schema.names()
+        return [name.lower() for name in columns]
+
+    def _read(self, columns: list[str] | None, visibility: tuple) -> dict:
+        """The rows selected by a :meth:`visibility` result: read-only
+        prefix views when every row is visible, masked copies otherwise."""
+        n, mask = visibility
+        if mask is not None:
+            return self.masked_scan(mask, columns)
+        return {
+            name: _read_only(self._columns[name].array()[:n])
+            for name in self._names(columns)
+        }
+
     def column_array(self, name: str, visible_only: bool = True) -> np.ndarray:
         with self.lock:
-            arr = self._columns[name.lower()].array()
             if visible_only:
-                return arr[self.valid_mask()]
-            return arr
+                return self._read([name], self.visibility())[name.lower()]
+            return self._columns[name.lower()].array()
 
     def scan(self, columns: list[str] | None = None,
-             snapshot: int | None = None) -> dict:
+             snapshot: int | None = None,
+             visibility: tuple | None = None) -> dict:
         """Visible rows in physical order, as column arrays.
 
         ``columns`` restricts the scan to the named columns (projection
         pushdown for the vectorized pipeline); ``None`` scans all.
         ``snapshot`` pins visibility at a row-version watermark — rows
-        from later (or still in-flight) statements are excluded; the
-        returned arrays are consistent copies, safe to read lock-free.
+        from later (or still in-flight) statements are excluded.
+        ``visibility`` is a precomputed :meth:`visibility` result for
+        that snapshot, so callers that also need :meth:`key_encodings`
+        decide visibility once.
+
+        When every row is visible the arrays are read-only views of
+        the column buffers (no mask, no copy); otherwise they are
+        masked copies.  Both stay valid and unchanged while concurrent
+        writers append, so they are safe to read lock-free.
         """
         with self.lock:
-            if snapshot is None:
-                mask = self.valid_mask()
-            else:
-                mask = self.snapshot_mask(snapshot)
-            return self.masked_scan(mask, columns)
+            if visibility is None:
+                visibility = self.visibility(snapshot)
+            return self._read(columns, visibility)
 
     def masked_scan(self, mask: np.ndarray, columns: list[str] | None = None) -> dict:
         """Arbitrary physical-row selection as column arrays (physical
         order).  Used with :meth:`delta_masks` to read a view's
         insert/delete delta."""
-        names = self.schema.names() if columns is None else [
-            name.lower() for name in columns
-        ]
         with self.lock:
             n = len(mask)
             return {
-                name: self._columns[name].array()[:n][mask] for name in names
+                name: self._columns[name].array()[:n][mask]
+                for name in self._names(columns)
             }
 
     def morsels(self, morsel_size: int, columns: list[str] | None = None,
-                snapshot: int | None = None):
+                snapshot: int | None = None,
+                visibility: tuple | None = None):
         """Visible rows as columnar chunks of at most ``morsel_size`` rows.
 
         Chunks are zero-copy views over the scan arrays, yielded in
@@ -648,8 +739,8 @@ class Table:
         scan interface of the morsel-driven pipeline
         (:mod:`repro.engine.pipeline`).  ``columns`` restricts the scan
         (projection pushdown); the chunk row count is preserved even if
-        the restriction is empty.  ``snapshot`` pins row visibility as
-        in :meth:`scan`.
+        the restriction is empty.  ``snapshot`` and ``visibility`` pin
+        row visibility as in :meth:`scan`.
         """
         if morsel_size < 1:
             raise ValueError("morsel_size must be >= 1")
@@ -657,7 +748,7 @@ class Table:
             # Keep one column so chunk row counts survive (COUNT(*)-only
             # plans still need to know how many rows each morsel has).
             columns = [self.schema.names()[0]]
-        data = self.scan(columns, snapshot=snapshot)
+        data = self.scan(columns, snapshot=snapshot, visibility=visibility)
         names = list(data.keys())
         nrows = len(data[names[0]]) if names else 0
         if nrows == 0:
@@ -669,30 +760,33 @@ class Table:
                 for name, arr in data.items()
             }
 
-    def key_encodings(self, columns, snapshot: int | None = None) -> dict:
+    def key_encodings(self, columns, snapshot: int | None = None,
+                      visibility: tuple | None = None) -> dict:
         """Dictionary encodings for the named object-dtype columns.
 
         Returns ``{name: (codes, uniques)}`` where ``codes`` covers the
         *visible* rows in physical (scan) order — pinned at
-        ``snapshot`` when given, matching :meth:`scan`.  Columns with
-        non-object storage are skipped — their keys already factorize
-        cheaply with :func:`numpy.unique`.
+        ``snapshot`` (or by ``visibility``) when given, matching
+        :meth:`scan`, and likewise a read-only view when every row is
+        visible.  Columns with non-object storage are skipped — their
+        keys already factorize cheaply with :func:`numpy.unique`.
         """
         out = {}
         with self.lock:
-            mask = None
             for name in columns:
                 low = name.lower()
                 column = self._columns.get(low)
                 if column is None or column.sql_type.numpy_dtype != np.dtype(object):
                     continue
-                if mask is None:
-                    if snapshot is None:
-                        mask = self.valid_mask()
-                    else:
-                        mask = self.snapshot_mask(snapshot)
+                if visibility is None:
+                    visibility = self.visibility(snapshot)
+                n, mask = visibility
                 codes, uniques = column.encoding()
-                out[low] = (codes[: len(mask)][mask], uniques)
+                codes = codes[:n]
+                out[low] = (
+                    _read_only(codes) if mask is None else codes[mask],
+                    uniques,
+                )
         return out
 
     #: bound on cached shard layouts per table (each is one int64
@@ -701,7 +795,8 @@ class Table:
     _SHARD_LAYOUT_CACHE = 4
 
     def shard_layout(self, nshards: int,
-                     snapshot: int | None = None) -> tuple:
+                     snapshot: int | None = None,
+                     visibility: tuple | None = None) -> tuple:
         """Shard assignment of the visible rows, as ``(version_key,
         order, bounds)``.
 
@@ -719,6 +814,8 @@ class Table:
         mutation.  ``version_key`` identifies the layout (it is the
         snapshot, or the live version for unpinned reads) and doubles
         as the replica cache token for the distributed exchange.
+        ``visibility`` is a precomputed :meth:`visibility` result for
+        ``snapshot``, used on a cache miss.
         """
         nshards = int(nshards)
         if nshards < 1:
@@ -731,11 +828,9 @@ class Table:
             cached = self._shard_layouts.get(key)
             if cached is not None:
                 return version_key, cached[0], cached[1]
-            if snapshot is None:
-                mask = self.valid_mask()
-            else:
-                mask = self.snapshot_mask(snapshot)
-            data = self.masked_scan(mask, None)
+            if visibility is None:
+                visibility = self.visibility(snapshot)
+            data = self._read(None, visibility)
             nrows = len(next(iter(data.values()))) if data else 0
             if nshards > 1 and nrows:
                 from ..distributed.router import shard_ids
@@ -764,12 +859,13 @@ class Table:
         merge exactly, so shard-internal order is a non-event for
         result bits."""
         with self.lock:
-            _, order, bounds = self.shard_layout(nshards, snapshot)
+            visibility = self.visibility(snapshot)
+            _, order, bounds = self.shard_layout(nshards, snapshot, visibility)
             if not 0 <= int(shard) < nshards:
                 raise ValueError(
                     f"shard {shard} out of range for {nshards} shards"
                 )
-            data = self.scan(columns, snapshot=snapshot)
+            data = self.scan(columns, snapshot=snapshot, visibility=visibility)
             select = order[int(bounds[shard]):int(bounds[shard + 1])]
             return {name: arr[select] for name, arr in data.items()}
 
